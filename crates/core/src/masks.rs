@@ -59,6 +59,11 @@ impl SeededMasker {
         self.codec
     }
 
+    /// This learner's party index.
+    pub(crate) fn party(&self) -> usize {
+        self.party
+    }
+
     /// Deterministic pair mask stream for `(lo, hi)` at `iteration`.
     ///
     /// Each tuple component is absorbed through its own SplitMix64
