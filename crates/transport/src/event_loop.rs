@@ -1,11 +1,8 @@
 //! Event-driven TCP backend: one I/O thread drives every connection.
 //!
-//! The legacy [`crate::TcpTransport`] spawns two blocking threads per
-//! connection (reader + accept), so a coordinator's thread count grows
-//! O(peers) and each half-open peer parks a thread forever. This backend
-//! keeps the same wire protocol, handshake and [`Transport`] semantics
-//! but multiplexes **all** sockets onto a single I/O thread (see
-//! [`crate::poll`] for the readiness model):
+//! The crate's socket backend. It multiplexes **all** sockets onto a
+//! single I/O thread (see [`crate::poll`] for the readiness model)
+//! behind the same [`Transport`] semantics as the loopback fabric:
 //!
 //! * thread budget is O(1) — the I/O thread plus whatever the caller
 //!   already had, regardless of peer count;
@@ -26,14 +23,14 @@
 //! thread round-trip — which is what lets a coordinator broadcast to a
 //! hundred learners in one loop wakeup. Past the high-water mark the
 //! sender falls back to blocking on the per-connection flush watermark,
-//! with the same bounded `io_timeout` the legacy backend applied to
-//! blocking writes; a frame stuck past that deadline fails its
-//! connection either way. On Linux the loop parks in a raw `ppoll`
-//! over every socket plus a loopback wake connection — a queued command
-//! writes one wake byte, so commands and socket traffic both interrupt
-//! the wait instantly and only ready sockets are touched. On targets
-//! without the raw syscall the command channel's `recv_timeout` doubles
-//! as the idle sleep and sockets are scanned with non-blocking reads.
+//! bounded by the endpoint's `io_timeout`; a frame stuck past that
+//! deadline fails its connection either way. On Linux the loop parks in
+//! a raw `ppoll` over every socket plus a loopback wake connection — a
+//! queued command writes one wake byte, so commands and socket traffic
+//! both interrupt the wait instantly and only ready sockets are
+//! touched. On targets without the raw syscall the command channel's
+//! `recv_timeout` doubles as the idle sleep and sockets are scanned
+//! with non-blocking reads.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -200,7 +197,7 @@ struct Pending {
     /// Encoded frame size, charged to stats on completion.
     bytes: u64,
     /// Past this instant an unflushed frame fails the connection (the
-    /// event-loop analogue of the legacy blocking write timeout).
+    /// event-loop analogue of a blocking write timeout).
     deadline: Instant,
     /// Present only for blocking sends; fast-path frames settle their
     /// stats here but answer no one.
@@ -782,8 +779,8 @@ impl IoLoop {
     }
 
     /// Closes connections whose peers have produced no bytes within the
-    /// idle deadline — the fix for the legacy backend's forever-parked
-    /// readers on half-open peers.
+    /// idle deadline, so a half-open peer cannot hold its connection
+    /// open forever.
     fn reap_idle(&mut self) {
         let now = Instant::now();
         for conn in &mut self.conns {
@@ -845,9 +842,9 @@ impl IoLoop {
     }
 }
 
-/// The event-driven TCP endpoint. Same wire protocol, handshake and
-/// error mapping as [`crate::TcpTransport`]; O(1) threads instead of
-/// O(peers). See the module docs.
+/// The event-driven TCP endpoint: Hello/HelloAck handshake on dial-in,
+/// lazy dialing with reconnection, O(1) threads regardless of peer
+/// count. See the module docs.
 pub struct EventTransport {
     shared: Arc<Shared>,
     inbox: mpsc::Receiver<Envelope>,
@@ -864,7 +861,9 @@ pub struct EventTransport {
 
 impl EventTransport {
     /// Binds `party`'s endpoint on `addr` with default
-    /// [`EventLoopConfig`]. Mirrors [`crate::TcpTransport::bind`].
+    /// [`EventLoopConfig`]. `peers` are dialed lazily on first send
+    /// under the `retry` schedule; `io_timeout` bounds every blocking
+    /// socket operation.
     pub fn bind(
         party: PartyId,
         addr: SocketAddr,
@@ -1344,8 +1343,7 @@ mod tests {
     #[test]
     fn half_open_peer_is_reaped_on_the_idle_deadline() {
         // A raw socket that handshakes then stalls without closing: the
-        // legacy backend parked a reader thread on it forever; the event
-        // loop must reap it.
+        // event loop must reap it.
         let cfg = EventLoopConfig {
             idle_timeout: Duration::from_millis(150),
             ..EventLoopConfig::default()

@@ -15,9 +15,10 @@
 //!   gather, consensus broadcast, hello/heartbeat/ack control frames);
 //! * [`Transport`] — the backend trait, with two implementations:
 //!   [`LoopbackTransport`] (deterministic in-memory fabric with
-//!   [`NetFaultPlan`] drop/duplicate/delay injection) and [`TcpTransport`]
-//!   (`std::net`, per-message timeouts, exponential-backoff dialing,
-//!   reconnection);
+//!   [`NetFaultPlan`] drop/duplicate/delay injection) and
+//!   [`EventTransport`] (`std::net` sockets driven by one readiness-loop
+//!   thread, per-message timeouts, exponential-backoff dialing,
+//!   reconnection, idle reaping);
 //! * [`Courier`] — stop-and-wait reliability on top of any backend: acks,
 //!   retransmission under [`RetryPolicy`], and duplicate suppression.
 //!
@@ -50,7 +51,6 @@ pub mod frame;
 pub mod loopback;
 pub mod poll;
 pub mod retry;
-pub mod tcp;
 pub mod transport;
 pub mod wire;
 
@@ -63,6 +63,5 @@ pub use frame::{
 pub use loopback::{HubStats, LoopbackHub, LoopbackTransport};
 pub use poll::pin_current_thread;
 pub use retry::RetryPolicy;
-pub use tcp::TcpTransport;
 pub use transport::{Envelope, LinkStats, SendReceipt, Transport, TransportError};
 pub use wire::{Reader, Wire, WireError};

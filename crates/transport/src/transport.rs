@@ -132,34 +132,3 @@ pub trait Transport: Send {
         Ok(SendReceipt { seq, bytes })
     }
 }
-
-/// Forwarding impl so binaries can pick a backend at runtime and still
-/// hand the boxed endpoint to anything generic over [`Transport`] (the
-/// [`crate::Courier`], the distributed loops).
-impl Transport for Box<dyn Transport> {
-    fn party(&self) -> PartyId {
-        (**self).party()
-    }
-
-    fn next_seq(&mut self, to: PartyId) -> u64 {
-        (**self).next_seq(to)
-    }
-
-    fn send_raw(
-        &mut self,
-        to: PartyId,
-        msg: &Message,
-        seq: u64,
-        flags: u16,
-    ) -> Result<usize, TransportError> {
-        (**self).send_raw(to, msg, seq, flags)
-    }
-
-    fn recv(&mut self, timeout: Duration) -> Result<Envelope, TransportError> {
-        (**self).recv(timeout)
-    }
-
-    fn stats(&self) -> LinkStats {
-        (**self).stats()
-    }
-}

@@ -11,8 +11,8 @@
 //! ```text
 //! ppml-worker --party 1 --workers 2 --driver 127.0.0.1:7400
 //!             [--job <wordcount|spin>] [--data-seed S] [--blocks B]
-//!             [--patience SECS] [--transport <event|threads>]
-//!             [--lag-ms N] [--die-after-tasks N] [--fail-blocks 0,3]
+//!             [--patience SECS] [--lag-ms N] [--die-after-tasks N]
+//!             [--fail-blocks 0,3]
 //!             [--telemetry events.jsonl]
 //!
 //! `--party` is 1-based: the driver is party 0, workers are 1..=M.
@@ -33,62 +33,43 @@
 //! 4 transport/protocol. An injected `--die-after-tasks` death exits 0 —
 //! that exit is the fault working, not an error.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
-use ppml::cli::CliError;
+use ppml::cli::{self, numeric, optional, CliError, Flags, Telemetry};
 use ppml::mapreduce::{process_job, WorkerOptions};
-use ppml::telemetry::{self, FanoutSink, JsonlSink, Sink, SummarySink};
-use ppml::transport::{Courier, EventTransport, PartyId, RetryPolicy, TcpTransport, Transport};
+use ppml::transport::PartyId;
 
-fn usage() -> String {
+const USAGE: &str =
     "usage:\n  ppml-worker --party I --workers M --driver HOST:PORT\n              \
      [--job <wordcount|spin>] [--data-seed S] [--blocks B]\n              \
-     [--patience SECS] [--transport <event|threads>]\n              \
-     [--lag-ms N] [--die-after-tasks N] [--fail-blocks 0,3]\n              \
-     [--telemetry EVENTS.jsonl]"
-        .to_string()
-}
+     [--patience SECS] [--lag-ms N] [--die-after-tasks N]\n              \
+     [--fail-blocks 0,3]\n              \
+     [--telemetry EVENTS.jsonl]";
 
-fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
-    let mut map = BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let key = flag
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {flag}"))?;
-        let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        map.insert(key.to_string(), value.clone());
-    }
-    Ok(map)
-}
+const FLAGS: &[&str] = &[
+    "party",
+    "workers",
+    "driver",
+    "job",
+    "data-seed",
+    "blocks",
+    "patience",
+    "lag-ms",
+    "die-after-tasks",
+    "fail-blocks",
+    "telemetry",
+];
 
-fn numeric<T: std::str::FromStr>(
-    flags: &BTreeMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        Some(v) => v.parse().map_err(|_| format!("--{key}: bad value {v}")),
-        None => Ok(default),
-    }
-}
-
-fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
-    let workers: usize = numeric(&flags, "workers", 0).map_err(CliError::usage)?;
+fn run(flags: Flags) -> Result<(), CliError> {
+    let workers: usize = numeric(&flags, "workers", 0)?;
     if workers == 0 {
         return Err(CliError::usage("--workers must be at least 1"));
     }
-    let party: usize = match flags.get("party") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--party: bad value {v}")))?,
-        None => return Err(CliError::usage("--party is required")),
-    };
+    let party: usize =
+        optional(&flags, "party")?.ok_or_else(|| CliError::usage("--party is required"))?;
     if party == 0 || party > workers {
         return Err(CliError::usage(format!(
             "--party {party} out of range 1..={workers} (0 is the driver)"
@@ -102,8 +83,8 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
     let job_name = flags.get("job").map(String::as_str).unwrap_or("wordcount");
     let job = process_job(job_name)
         .ok_or_else(|| CliError::usage(format!("--job: unknown job {job_name}")))?;
-    let seed: u64 = numeric(&flags, "data-seed", 42).map_err(CliError::usage)?;
-    let total_blocks: u64 = numeric(&flags, "blocks", workers as u64).map_err(CliError::usage)?;
+    let seed: u64 = numeric(&flags, "data-seed", 42)?;
+    let total_blocks: u64 = numeric(&flags, "blocks", workers as u64)?;
     // Static placement shared with the driver: block b lives on worker
     // 1 + (b mod M). Residency is derived, never transferred.
     let resident: Vec<u64> = (0..total_blocks)
@@ -111,20 +92,11 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
         .collect();
 
     let mut opts = WorkerOptions {
-        lag: Duration::from_millis(numeric(&flags, "lag-ms", 0u64).map_err(CliError::usage)?),
-        idle_timeout: Duration::from_secs(
-            numeric(&flags, "patience", 30u64)
-                .map_err(CliError::usage)?
-                .max(1),
-        ),
+        lag: Duration::from_millis(numeric(&flags, "lag-ms", 0)?),
+        idle_timeout: Duration::from_secs(numeric(&flags, "patience", 30u64)?.max(1)),
+        die_on_task: optional(&flags, "die-after-tasks")?.map(|n: usize| n.max(1)),
         ..Default::default()
     };
-    if let Some(v) = flags.get("die-after-tasks") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--die-after-tasks: bad value {v}")))?;
-        opts.die_on_task = Some(n.max(1));
-    }
     if let Some(v) = flags.get("fail-blocks") {
         for part in v.split(',').filter(|p| !p.is_empty()) {
             opts.fail_blocks.push(
@@ -136,52 +108,8 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
     }
 
     // Telemetry first, so the dial and registration frames are captured.
-    let telemetry_out = match flags.get("telemetry") {
-        Some(path) => {
-            let jsonl = JsonlSink::create(Path::new(path))
-                .map_err(|e| CliError::io(format!("--telemetry {path}: {e}")))?;
-            let summary = SummarySink::new();
-            let sinks: Vec<Arc<dyn Sink>> = vec![jsonl, summary.clone()];
-            telemetry::install(FanoutSink::new(sinks));
-            Some((summary, path.clone()))
-        }
-        None => None,
-    };
-
-    let backend = flags
-        .get("transport")
-        .map(String::as_str)
-        .unwrap_or("event");
-    let bind_addr: SocketAddr = "127.0.0.1:0".parse().expect("loopback addr");
-    let peers = HashMap::from([(0 as PartyId, driver)]);
-    let transport: Box<dyn Transport> = match backend {
-        "event" => Box::new(
-            EventTransport::bind(
-                party as PartyId,
-                bind_addr,
-                peers,
-                RetryPolicy::tcp_link(),
-                Duration::from_secs(5),
-            )
-            .map_err(|e| CliError::transport(e.to_string()))?,
-        ),
-        "threads" => Box::new(
-            TcpTransport::bind(
-                party as PartyId,
-                bind_addr,
-                peers,
-                RetryPolicy::tcp_link(),
-                Duration::from_secs(5),
-            )
-            .map_err(|e| CliError::transport(e.to_string()))?,
-        ),
-        other => {
-            return Err(CliError::usage(format!(
-                "--transport: unknown backend {other} (use event or threads)"
-            )))
-        }
-    };
-    let mut courier = Courier::new(transport, RetryPolicy::tcp_default());
+    let telemetry = Telemetry::install(&flags)?;
+    let mut courier = cli::dial(party as PartyId, 0, HashMap::from([(0, driver)]))?;
 
     println!(
         "worker {party}: job {job_name}, {} resident blocks of {total_blocks}, dialing {driver}",
@@ -202,35 +130,10 @@ fn run(flags: BTreeMap<String, String>) -> Result<(), CliError> {
             report.tasks_done, report.cancels_seen
         );
     }
-    if let Some((summary, path)) = telemetry_out {
-        telemetry::uninstall();
-        print!("{}", summary.render());
-        println!("worker {party}: telemetry written to {path}");
-    }
+    telemetry.finish(&format!("worker {party}: "));
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = match parse_flags(&args) {
-        Ok(f) => f,
-        Err(e) => {
-            let e = CliError::usage(e);
-            eprintln!("ppml-worker: {}\n{}", e.msg, usage());
-            return e.exit_code();
-        }
-    };
-    match run(flags) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            // One line to stderr, typed exit code; usage errors also get
-            // the usage block since the fix is a different invocation.
-            if e.code == ppml::cli::EXIT_USAGE {
-                eprintln!("ppml-worker: {}\n{}", e.msg, usage());
-            } else {
-                eprintln!("ppml-worker: {}", e.msg);
-            }
-            e.exit_code()
-        }
-    }
+    cli::main("ppml-worker", USAGE, FLAGS, run)
 }

@@ -55,21 +55,15 @@ fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
 }
 
-/// Spawns a coordinator or learner child. `PPML_TRANSPORT=event|threads`
-/// appends `--transport` to every child so CI can run the whole drill
-/// matrix against either socket backend; unset, the binaries' default
-/// (the event loop) applies. `PPML_SECAGG=pairwise|shamir|paillier`
-/// does the same for `--secagg`, except for drills that pin a specific
-/// backend themselves (checkpoint/resume is pairwise-only, and the
-/// SIGKILL drill below needs a pairwise reference next to a shamir
-/// run).
+/// Spawns a coordinator or learner child.
+/// `PPML_SECAGG=pairwise|shamir|paillier` appends `--secagg` to every
+/// child so CI can run the drill matrix against each backend, except
+/// for drills that pin a specific backend themselves (checkpoint/resume
+/// is pairwise-only, and the SIGKILL drill below needs a pairwise
+/// reference next to a shamir run); unset, the binaries' pairwise
+/// default applies.
 fn spawn(bin: &str, argv: &[String]) -> Child {
     let mut argv = argv.to_vec();
-    if let Ok(backend) = std::env::var("PPML_TRANSPORT") {
-        if !backend.is_empty() {
-            argv.extend(["--transport".to_string(), backend]);
-        }
-    }
     if let Ok(backend) = std::env::var("PPML_SECAGG") {
         if !backend.is_empty() && !argv.iter().any(|a| a == "--secagg") {
             argv.extend(["--secagg".to_string(), backend]);
@@ -507,6 +501,70 @@ fn typed_exit_codes_come_from_real_invocations() {
     );
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("exclusive"), "{stderr}");
+
+    // 2 — usage: an unknown flag is rejected, never silently ignored.
+    // The retired `--transport` switch is one; a misspelt training flag
+    // (which would otherwise run with the default) is another.
+    let (code, stderr) = run_to_exit(
+        COORDINATOR,
+        &args(&[
+            "--learners",
+            "1",
+            "--connect-timeout",
+            "1",
+            "--transport",
+            "threads",
+        ]),
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr.lines().next(),
+        Some("ppml-coordinator: unknown flag --transport"),
+        "{stderr}"
+    );
+    let (code, stderr) = run_to_exit(
+        LEARNER,
+        &args(&[
+            "--party",
+            "0",
+            "--learners",
+            "1",
+            "--coordinator",
+            "127.0.0.1:9",
+            "--patience",
+            "1",
+            "--itres",
+            "5",
+        ]),
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr.lines().next(),
+        Some("ppml-learner: unknown flag --itres"),
+        "{stderr}"
+    );
+
+    // 2 — usage: a bad value is reported before the socket binds, not
+    // after the connect wait (nobody will dial in here).
+    let started = Instant::now();
+    let (code, stderr) = run_to_exit(
+        COORDINATOR,
+        &args(&[
+            "--learners",
+            "2",
+            "--round-timeout",
+            "x",
+            "--connect-timeout",
+            "10",
+        ]),
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--round-timeout: bad value x"), "{stderr}");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "usage error took {:?}, as if it waited for learners",
+        started.elapsed()
+    );
 
     // 3 — checkpoint: --resume pointing at a snapshot that does not
     // exist fails before the socket ever binds.

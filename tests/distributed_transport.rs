@@ -1,5 +1,5 @@
 //! Integration: distributed HL-SVM training through the public facade,
-//! over both transport backends.
+//! over the loopback hub and the event-loop TCP backend.
 //!
 //! The distributed protocol aggregates fixed-point wrapping sums, so
 //! every run — simulated cluster, loopback hub (even with injected
@@ -17,7 +17,6 @@ use ppml::data::{synth, Dataset, Partition};
 use ppml::svm::LinearSvm;
 use ppml::transport::{
     Courier, EventTransport, LinkFilter, LoopbackHub, Message, NetFaultPlan, PartyId, RetryPolicy,
-    TcpTransport,
 };
 
 fn timing() -> DistributedTiming {
@@ -80,67 +79,8 @@ fn lossy_loopback_matches_cluster_and_charges_for_retries() {
     assert!(lossy.metrics.total_network_bytes() > clean.metrics.total_network_bytes());
 }
 
-#[test]
-fn tcp_threads_match_cluster() {
-    let m = 2;
-    let (parts, cfg) = setup(m);
-    let (reference, _) =
-        train_linear_on_cluster(&parts, &cfg, None, ClusterTuning::default()).expect("cluster");
-
-    let coord_transport = TcpTransport::bind(
-        m as PartyId,
-        "127.0.0.1:0".parse().expect("addr"),
-        HashMap::new(),
-        RetryPolicy::tcp_link(),
-        Duration::from_secs(5),
-    )
-    .expect("bind coordinator");
-    let addr = coord_transport.local_addr();
-
-    let handles: Vec<_> = parts
-        .iter()
-        .enumerate()
-        .map(|(p, part)| {
-            let part = part.clone();
-            thread::spawn(move || -> LinearSvm {
-                let transport = TcpTransport::bind(
-                    p as PartyId,
-                    "127.0.0.1:0".parse().expect("addr"),
-                    HashMap::from([(m as PartyId, addr)]),
-                    RetryPolicy::tcp_link(),
-                    Duration::from_secs(5),
-                )
-                .expect("bind learner");
-                let mut courier = Courier::new(transport, RetryPolicy::tcp_default());
-                courier
-                    .send_unreliable(m as PartyId, &Message::Heartbeat { nonce: p as u64 })
-                    .expect("announce");
-                learn_linear(&mut courier, m, &part, &cfg, timing()).expect("learner")
-            })
-        })
-        .collect();
-
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while coord_transport.connected_parties().len() < m {
-        assert!(Instant::now() < deadline, "learners never dialed in");
-        thread::sleep(Duration::from_millis(10));
-    }
-
-    let mut courier = Courier::new(coord_transport, RetryPolicy::tcp_default());
-    let features = feature_count(&parts).expect("partitions");
-    let outcome =
-        coordinate_linear(&mut courier, m, features, &cfg, None, timing()).expect("coordinator");
-
-    assert_eq!(outcome.model, reference.model);
-    for h in handles {
-        assert_eq!(h.join().expect("learner thread"), reference.model);
-    }
-}
-
-/// The event-loop backend must be a drop-in replacement: the same
-/// protocol over `EventTransport` endpoints on every side produces the
-/// bit-identical model the in-process cluster (and the thread backend)
-/// does. The protocol aggregates wrapping fixed-point sums, so "close"
+/// The same protocol over `EventTransport` endpoints on every side
+/// produces the bit-identical model the in-process cluster does. The protocol aggregates wrapping fixed-point sums, so "close"
 /// is not good enough — equality is exact.
 #[test]
 fn event_loop_backend_matches_cluster() {

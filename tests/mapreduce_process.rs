@@ -26,9 +26,7 @@ use ppml::transport::{Courier, EventTransport, RetryPolicy};
 const WORKER: &str = env!("CARGO_BIN_EXE_ppml-worker");
 const SEED: u64 = 42;
 
-/// Spawns one `ppml-worker` child dialing `driver`. `PPML_TRANSPORT`
-/// selects the socket backend for the whole drill matrix, exactly as in
-/// `chaos_process.rs`.
+/// Spawns one `ppml-worker` child dialing `driver`.
 fn spawn_worker(
     party: usize,
     workers: usize,
@@ -56,11 +54,6 @@ fn spawn_worker(
     .map(|s| s.to_string())
     .collect();
     argv.extend(extra.iter().map(|s| s.to_string()));
-    if let Ok(backend) = std::env::var("PPML_TRANSPORT") {
-        if !backend.is_empty() {
-            argv.extend(["--transport".to_string(), backend]);
-        }
-    }
     Command::new(WORKER)
         .args(&argv)
         .stdout(Stdio::piped())
@@ -271,6 +264,27 @@ fn worker_exit_codes_are_typed() {
     ]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("unknown job"), "{stderr}");
+
+    // 2 — usage: unknown flags are rejected, including the retired
+    // `--transport` switch (otherwise this would dial and exit 4).
+    let (code, stderr) = run_to_exit(&[
+        "--party",
+        "1",
+        "--workers",
+        "1",
+        "--driver",
+        "127.0.0.1:9",
+        "--patience",
+        "1",
+        "--transport",
+        "threads",
+    ]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr.lines().next(),
+        Some("ppml-worker: unknown flag --transport"),
+        "{stderr}"
+    );
 
     // 4 — transport: nobody is listening on the discard port.
     let (code, stderr) = run_to_exit(&[
